@@ -26,7 +26,7 @@ use dynasparse_runtime::{
     pricing, Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCache,
     PricingCacheMode, PricingKey, RuntimeOverhead, Scheduler, SharedPricingTier,
 };
-use dynasparse_telemetry::{CounterId, GaugeId, Registry, SessionTelemetry};
+use dynasparse_telemetry::{CounterId, Registry, SessionTelemetry, SpanPrimitive};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,11 +37,10 @@ pub const RECALIBRATE_ENV: &str = "DYNASPARSE_RECALIBRATE";
 
 /// Accepted band of the per-primitive measured/predicted drift EWMA
 /// (`measured_ms / predicted_ms`, see
-/// [`DriftTracker`](dynasparse_telemetry::DriftTracker)).  A finite gauge
-/// outside the band after a served request triggers one online
-/// recalibration: the session rescales that primitive's calibration fit by
-/// the observed ratio, swaps the rescaled fit into its dispatcher and
-/// resets the gauge.
+/// [`DriftTracker`](dynasparse_telemetry::DriftTracker)).  A session whose
+/// own finite EWMA leaves the band after a served request recalibrates once:
+/// it rescales that primitive's calibration fit by the observed ratio,
+/// swaps the rescaled fit into its dispatcher and restarts its EWMA.
 pub const DRIFT_BAND: (f64, f64) = (0.5, 2.0);
 
 /// Reusable per-strategy state: the Analyzer is stateless and the Scheduler
@@ -149,11 +148,9 @@ pub struct Session<'p> {
     pricing_cache: Option<PricingCache>,
     /// Optional read-mostly tier shared across the serve workers of one
     /// runtime; consulted on a local miss, published to on a fresh pass.
+    /// Online recalibration keeps both the tier and the local cache: the
+    /// Analyzer prices the modeled accelerator, never the host fit.
     pricing_tier: Option<Arc<SharedPricingTier>>,
-    /// Fingerprint of the dispatcher's current calibration; refreshed when
-    /// online recalibration swaps a rescaled fit in, which makes every key
-    /// minted under the old fit unreachable.
-    calib_fingerprint: u64,
     /// Fingerprint of the plan's static operands (adjacency + weight
     /// profiles); recomputed on rebind so template instances of the same
     /// subgraph class share pricing while different topologies never do.
@@ -316,7 +313,6 @@ impl<'p> Session<'p> {
             (pricing_mode != PricingCacheMode::Off && !strategies.is_empty()).then(|| {
                 PricingCache::with_capacity(default_pricing_capacity(num_kernels, strategies.len()))
             });
-        let calib_fingerprint = pricing::calibration_fingerprint(plan.get().calibration.as_deref());
         let statics = &plan.get().program().static_sparsity;
         let statics_fingerprint =
             pricing::statics_fingerprint(&statics.adjacency, &statics.weights);
@@ -352,7 +348,6 @@ impl<'p> Session<'p> {
             pricing_mode,
             pricing_cache,
             pricing_tier: None,
-            calib_fingerprint,
             statics_fingerprint,
             quant_scratch: DensityProfile::default(),
             requests_served: 0,
@@ -427,8 +422,9 @@ impl<'p> Session<'p> {
         // registry binding, pinned shard and retained spans) across, the same
         // way the request counter survives.  The shared pricing tier is
         // runtime wiring, not plan state, so it also survives; the local
-        // pricing cache does not (the new plan's calibration may differ, and
-        // `build` re-derives both fingerprints from the new plan).
+        // pricing cache does not (the new plan's model or accelerator may
+        // differ, and `build` re-derives the statics fingerprint from the
+        // new plan).
         let telemetry = std::mem::replace(&mut self.telemetry, SessionTelemetry::from_global());
         let tier = self.pricing_tier.take();
         *self = Session::build(PlanHandle::Shared(plan), executor, &strategies);
@@ -610,7 +606,6 @@ impl<'p> Session<'p> {
         let pricing_mode = self.pricing_mode;
         let mut pricing_cache = self.pricing_cache.as_mut();
         let pricing_tier = self.pricing_tier.clone();
-        let calib_fp = self.calib_fingerprint;
         let statics_fp = self.statics_fingerprint;
         let quant_scratch = &mut self.quant_scratch;
         let mut profile_ns = 0u64;
@@ -676,13 +671,7 @@ impl<'p> Session<'p> {
             // bucket-representative quantization is also shared by every
             // strategy's miss of this kernel.
             let base_key = pricing_cache.is_some().then(|| {
-                PricingKey::base(
-                    calib_fp,
-                    statics_fp,
-                    kernel_counter,
-                    pricing_mode,
-                    feature_profile,
-                )
+                PricingKey::base(statics_fp, kernel_counter, pricing_mode, feature_profile)
             });
             let mut quantized = false;
             for state in states.iter_mut() {
@@ -870,14 +859,15 @@ impl<'p> Session<'p> {
     }
 
     /// Online drift-triggered recalibration (host backend only): after a
-    /// served request, any per-primitive drift gauge
-    /// (measured/predicted EWMA, see
+    /// served request, any per-primitive drift EWMA of *this session* (see
     /// [`DriftTracker`](dynasparse_telemetry::DriftTracker)) that is finite
     /// but outside [`DRIFT_BAND`] rescales that primitive's calibration fit
     /// by the observed ratio; the rescaled calibration is swapped into the
-    /// dispatcher in one step and the tripped gauges reset to `1.0`.
+    /// dispatcher in one step and the tripped EWMAs restart at `1.0`.
+    /// Sibling sessions sharing the registry decide from their own drift.
     /// Decisions and predictions change, results never do (the calibration
-    /// only picks among bit-identical routes).
+    /// only picks among bit-identical routes), and the pricing cache is
+    /// kept: the Analyzer never reads the host fit.
     fn maybe_recalibrate(&mut self) {
         if !self.recalibrate {
             return;
@@ -891,15 +881,20 @@ impl<'p> Session<'p> {
         let Some(calibration) = dispatcher.calibration().cloned() else {
             return;
         };
-        const GAUGES: [GaugeId; 3] = [GaugeId::DriftGemm, GaugeId::DriftSpdmm, GaugeId::DriftSpmm];
+        const PRIMITIVES: [SpanPrimitive; 3] = [
+            SpanPrimitive::Gemm,
+            SpanPrimitive::SpDmm,
+            SpanPrimitive::Spmm,
+        ];
         let mut ratios = [1.0f64; 3];
         let mut drifted = false;
-        let registry = Arc::clone(self.telemetry.registry());
-        for (ratio, gauge) in ratios.iter_mut().zip(GAUGES) {
-            let r = registry.gauge(gauge);
+        let drift = self.telemetry.drift_mut();
+        for (ratio, primitive) in ratios.iter_mut().zip(PRIMITIVES) {
+            let r = drift.ratio(primitive);
             if r.is_finite() && r > 0.0 && !(DRIFT_BAND.0..=DRIFT_BAND.1).contains(&r) {
                 *ratio = r;
                 drifted = true;
+                drift.reset(primitive);
             }
         }
         if !drifted {
@@ -914,22 +909,7 @@ impl<'p> Session<'p> {
                 fit.per_row *= ratio;
             }
         }
-        // The rescaled fit invalidates every cached pricing decision: the
-        // fingerprint change makes old keys unreachable (also in the shared
-        // tier, without a flush — sibling workers recalibrate on their own
-        // schedule), and clearing the local cache returns its slots to the
-        // fresh fit's working set immediately.
-        let new_fingerprint = pricing::calibration_fingerprint(Some(&rescaled));
         dispatcher.recalibrate(Arc::new(rescaled));
-        self.calib_fingerprint = new_fingerprint;
-        if let Some(cache) = &mut self.pricing_cache {
-            cache.clear();
-        }
-        for (gauge, ratio) in GAUGES.into_iter().zip(ratios) {
-            if ratio != 1.0 {
-                registry.gauge_set(gauge, 1.0);
-            }
-        }
         self.telemetry.record_recalibration();
     }
 
@@ -1071,7 +1051,6 @@ impl<'p> Session<'p> {
         let pricing_mode = self.pricing_mode;
         let mut pricing_cache = self.pricing_cache.as_mut();
         let pricing_tier = self.pricing_tier.clone();
-        let calib_fp = self.calib_fingerprint;
         let statics_fp = self.statics_fingerprint;
         let quant_scratch = &mut self.quant_scratch;
         let mut profile_ns = 0u64;
@@ -1160,13 +1139,7 @@ impl<'p> Session<'p> {
                     // key collides hits the just-inserted entry — one
                     // Analyzer pass per distinct key per fused batch.
                     let base_key = pricing_cache.is_some().then(|| {
-                        PricingKey::base(
-                            calib_fp,
-                            statics_fp,
-                            kidx,
-                            pricing_mode,
-                            &batch_profiles[b],
-                        )
+                        PricingKey::base(statics_fp, kidx, pricing_mode, &batch_profiles[b])
                     });
                     let mut quantized = false;
                     for analyzer in &analyzers {
@@ -1581,17 +1554,20 @@ mod tests {
         let mut session = plan.session(&[MappingStrategy::Dynamic]);
         let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
         session.set_telemetry(registry.clone());
-        // Seed the gemm drift gauge far outside the accepted band, as if the
-        // measured kernels had been running 16x over their predictions.
-        registry.gauge_set(GaugeId::DriftGemm, 16.0);
+        // Seed the session's gemm drift far outside the accepted band, as if
+        // its measured kernels had been running 16x over their predictions.
+        session
+            .telemetry
+            .drift_mut()
+            .observe(&registry, SpanPrimitive::Gemm, 1.0, 16.0);
         session.infer(&features).unwrap();
         assert_eq!(
             registry.counter(CounterId::Recalibrations),
             1,
-            "one request with a tripped gauge must recalibrate once"
+            "one request with a tripped EWMA must recalibrate once"
         );
-        // The tripped gauge was reset after the swap.
-        assert!((registry.gauge(GaugeId::DriftGemm) - 1.0).abs() < 1e-12);
+        // The tripped EWMA restarted at 1.0 after the swap.
+        assert_eq!(session.telemetry.drift().ratio(SpanPrimitive::Gemm), 1.0);
     }
 
     #[test]
@@ -1611,7 +1587,10 @@ mod tests {
         let mut session = plan.session(&[MappingStrategy::Dynamic]);
         let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
         session.set_telemetry(registry.clone());
-        registry.gauge_set(GaugeId::DriftGemm, 16.0);
+        session
+            .telemetry
+            .drift_mut()
+            .observe(&registry, SpanPrimitive::Gemm, 1.0, 16.0);
         session.infer(&ds.features).unwrap();
         assert_eq!(registry.counter(CounterId::Recalibrations), 0);
     }

@@ -10,11 +10,14 @@
 //! The module provides three pieces:
 //!
 //! * [`PricingKey`] — a 128-bit content hash over everything that feeds a
-//!   pricing decision: the calibration fingerprint, the static-operand
-//!   fingerprint (adjacency + weight profiles), the kernel's execution
-//!   index, the cache mode, the feature profile's shape/grid, the per-block
-//!   densities (bucketed on a half-octave log2 grid, or exact nnz in
-//!   [`PricingCacheMode::Exact`]), and the mapping strategy.
+//!   pricing decision: the static-operand fingerprint (adjacency + weight
+//!   profiles), the kernel's execution index, the cache mode, the feature
+//!   profile's shape/grid, the per-block densities (bucketed on a
+//!   half-octave log2 grid, or exact nnz in [`PricingCacheMode::Exact`]),
+//!   and the mapping strategy.  The host calibration is deliberately *not*
+//!   keyed: the Analyzer never reads it (it prices the modeled accelerator
+//!   core), so a drift-triggered recalibration of the host fit leaves every
+//!   cached entry valid.
 //! * [`PricingCache`] — a fixed-capacity, open-addressed per-session cache
 //!   with zero-allocation steady state (like `KernelArena`): hits clone an
 //!   `Arc`, misses evict in place.
@@ -33,7 +36,7 @@
 
 use crate::analyzer::KernelAnalysis;
 use crate::strategy::MappingStrategy;
-use dynasparse_matrix::{DensityProfile, HostCalibration};
+use dynasparse_matrix::DensityProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -177,21 +180,19 @@ pub struct PricingKey {
 }
 
 impl PricingKey {
-    /// Builds the strategy-independent part of a kernel's key: calibration
-    /// and static-operand fingerprints, kernel execution index, cache mode,
-    /// and the feature profile's shape, grid and per-block occupancies
+    /// Builds the strategy-independent part of a kernel's key: the
+    /// static-operand fingerprint, kernel execution index, cache mode, and
+    /// the feature profile's shape, grid and per-block occupancies
     /// (bucketed or exact depending on `mode`).  Fold the strategy in with
     /// [`PricingKey::with_strategy`] — the profile is hashed once per
     /// kernel, not once per strategy.
     pub fn base(
-        calibration_fingerprint: u64,
         statics_fingerprint: u64,
         kernel_index: usize,
         mode: PricingCacheMode,
         features: &DensityProfile,
     ) -> PricingKey {
         let mut h = Fnv2::new();
-        h.u64(calibration_fingerprint);
         h.u64(statics_fingerprint);
         h.usize(kernel_index);
         h.byte(match mode {
@@ -241,26 +242,6 @@ fn hash_profile(h: &mut Fnv2, profile: &DensityProfile, mode: PricingCacheMode) 
             }
         }
     }
-}
-
-/// Content fingerprint of a calibration: the nine fit coefficients plus the
-/// version, hashed bit-exactly.  `None` (region cost model) fingerprints to
-/// a fixed constant.  Recalibration swaps the fit, which changes the
-/// fingerprint — every key minted under the old fit becomes unreachable,
-/// which is how drift-triggered recalibration invalidates shared tiers
-/// without a flush.
-pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
-    let Some(c) = calibration else {
-        return 0x7f4a_7c15_9e37_79b9;
-    };
-    let mut h = Fnv2::new();
-    h.u64(u64::from(c.version));
-    for fit in [&c.gemm, &c.spdmm, &c.spmm] {
-        h.u64(fit.work.to_bits());
-        h.u64(fit.output.to_bits());
-        h.u64(fit.per_row.to_bits());
-    }
-    h.a
 }
 
 /// Content fingerprint of a plan's static operands (adjacency + weight
@@ -323,16 +304,6 @@ impl PricingCache {
     /// True when no entry is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry (capacity is kept).  Used on recalibration: the
-    /// fingerprint change already makes old keys unreachable, clearing just
-    /// returns the slots to the fresh-fit working set immediately.
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
-        self.tick = 0;
     }
 
     #[inline]
@@ -404,9 +375,9 @@ impl PricingCache {
 /// Safe to share without coordination because every value is a pure
 /// function of its key (see the module docs): whichever worker computes an
 /// entry first, every other worker would have computed bit-identical
-/// contents.  Recalibration needs no flush — a recalibrated worker's new
-/// fingerprint makes the stale keys unreachable for it, while workers still
-/// on the old fit keep hitting them until capacity aging retires them.
+/// contents.  Recalibration needs no flush either: the key carries no host
+/// calibration, because the Analyzer never reads it, so workers whose fits
+/// have diverged still share every entry.
 #[derive(Debug)]
 pub struct SharedPricingTier {
     inner: RwLock<TierInner>,
@@ -469,13 +440,6 @@ impl SharedPricingTier {
     /// True when the tier holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        inner.map.clear();
-        inner.order.clear();
     }
 }
 
@@ -547,25 +511,20 @@ mod tests {
     #[test]
     fn keys_separate_the_pricing_inputs() {
         let p = profile(vec![4, 0, 16, 2]);
-        let base = PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, &p);
+        let base = PricingKey::base(2, 0, PricingCacheMode::Bucketed, &p);
         assert_ne!(
             base,
-            PricingKey::base(9, 2, 0, PricingCacheMode::Bucketed, &p),
-            "calibration fingerprint must be keyed"
-        );
-        assert_ne!(
-            base,
-            PricingKey::base(1, 9, 0, PricingCacheMode::Bucketed, &p),
+            PricingKey::base(9, 0, PricingCacheMode::Bucketed, &p),
             "statics fingerprint must be keyed"
         );
         assert_ne!(
             base,
-            PricingKey::base(1, 2, 1, PricingCacheMode::Bucketed, &p),
+            PricingKey::base(2, 1, PricingCacheMode::Bucketed, &p),
             "kernel index must be keyed"
         );
         assert_ne!(
             base,
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &p),
+            PricingKey::base(2, 0, PricingCacheMode::Exact, &p),
             "cache mode must be keyed"
         );
         assert_ne!(
@@ -576,13 +535,10 @@ mod tests {
         // Same bucket, different exact counts: equal in bucketed mode,
         // distinct in exact mode.
         let q = profile(vec![4, 0, 15, 2]);
-        assert_eq!(
-            base,
-            PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, &q)
-        );
+        assert_eq!(base, PricingKey::base(2, 0, PricingCacheMode::Bucketed, &q));
         assert_ne!(
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &p),
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &q)
+            PricingKey::base(2, 0, PricingCacheMode::Exact, &p),
+            PricingKey::base(2, 0, PricingCacheMode::Exact, &q)
         );
     }
 
@@ -592,7 +548,7 @@ mod tests {
         assert_eq!(cache.capacity(), 8);
         let p = profile(vec![1, 2, 3, 4]);
         let keys: Vec<PricingKey> = (0..64)
-            .map(|k| PricingKey::base(7, 7, k, PricingCacheMode::Exact, &p))
+            .map(|k| PricingKey::base(7, k, PricingCacheMode::Exact, &p))
             .collect();
         assert!(cache.is_empty());
         let mut evictions = 0usize;
@@ -609,16 +565,13 @@ mod tests {
             "64 inserts into 8 slots must evict, got {evictions}"
         );
         assert!(cache.len() <= cache.capacity());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(&keys[63]).is_none());
     }
 
     #[test]
     fn shared_tier_first_writer_wins_and_ages_out() {
         let tier = SharedPricingTier::new(8);
         let p = profile(vec![0, 0, 0, 1]);
-        let key = PricingKey::base(1, 1, 0, PricingCacheMode::Bucketed, &p);
+        let key = PricingKey::base(1, 0, PricingCacheMode::Bucketed, &p);
         assert!(tier.get(&key).is_none());
         assert!(!tier.publish(key, analysis(10)));
         assert!(
@@ -628,33 +581,15 @@ mod tests {
         assert_eq!(tier.get(&key).unwrap().total_cycles, 10);
         let mut aged = false;
         for k in 1..32usize {
-            let extra = PricingKey::base(1, 1, k, PricingCacheMode::Bucketed, &p);
+            let extra = PricingKey::base(1, k, PricingCacheMode::Bucketed, &p);
             aged |= tier.publish(extra, analysis(k as u64));
         }
         assert!(aged, "publishing past capacity must age entries out");
         assert!(tier.len() <= 8);
-        tier.clear();
-        assert!(tier.is_empty());
     }
 
     #[test]
     fn fingerprints_track_content_not_identity() {
-        let a = HostCalibration::reference();
-        let mut b = HostCalibration::reference();
-        assert_eq!(
-            calibration_fingerprint(Some(&a)),
-            calibration_fingerprint(Some(&b))
-        );
-        b.spmm.work *= 2.0;
-        assert_ne!(
-            calibration_fingerprint(Some(&a)),
-            calibration_fingerprint(Some(&b))
-        );
-        assert_ne!(
-            calibration_fingerprint(Some(&a)),
-            calibration_fingerprint(None)
-        );
-
         let adj = profile(vec![1, 2, 3, 4]);
         let w1 = profile(vec![4, 4, 4, 4]);
         let w2 = profile(vec![4, 4, 4, 5]);

@@ -29,7 +29,7 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
 fn keys_for(profile: &DensityProfile, mode: PricingCacheMode) -> Vec<PricingKey> {
     MappingStrategy::paper_strategies()
         .iter()
-        .map(|&s| PricingKey::base(7, 11, 2, mode, profile).with_strategy(s))
+        .map(|&s| PricingKey::base(11, 2, mode, profile).with_strategy(s))
         .collect()
 }
 
@@ -56,9 +56,9 @@ proptest! {
             prop_assert_eq!(keys_for(&fresh, mode), keys_for(&scratch, mode));
         }
         // Strategies must stay separated (total order of distinct tags).
-        let dynamic = PricingKey::base(7, 11, 2, PricingCacheMode::Exact, &fresh)
+        let dynamic = PricingKey::base(11, 2, PricingCacheMode::Exact, &fresh)
             .with_strategy(MappingStrategy::Dynamic);
-        let s1 = PricingKey::base(7, 11, 2, PricingCacheMode::Exact, &fresh)
+        let s1 = PricingKey::base(11, 2, PricingCacheMode::Exact, &fresh)
             .with_strategy(MappingStrategy::Static1);
         prop_assert_ne!(dynamic, s1);
     }

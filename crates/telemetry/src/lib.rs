@@ -17,9 +17,10 @@
 //! * [`FlightRecorder`] — a bounded per-session ring of [`KernelSpan`]s fed
 //!   by the kernel dispatcher on every dispatch: `(layer, primitive picked,
 //!   product shape, α_X, α_Y, predicted_ms, measured_ms)`.
-//! * [`DriftTracker`] — folds measured-vs-predicted kernel ratios into
-//!   per-primitive EWMA gauges, the signal a future online-recalibration
-//!   loop will read.
+//! * [`DriftTracker`] — folds measured-vs-predicted kernel ratios into a
+//!   per-session, per-primitive EWMA (the signal the session's online
+//!   recalibration reads) and into the registry's drift gauges (the
+//!   runtime-wide view).
 //! * [`SessionTelemetry`] — the per-session bundle (registry handle + cached
 //!   level + shard + recorder + drift tracker) the engine threads through the
 //!   hot path.

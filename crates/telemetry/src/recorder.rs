@@ -177,12 +177,30 @@ impl FlightRecorder {
     }
 }
 
-/// Folds measured-vs-predicted kernel cost ratios into per-primitive EWMA
-/// gauges — the sensor a future online-recalibration loop reads to detect a
-/// stale fit on a shared host.
+/// Folds measured-vs-predicted kernel cost ratios into per-primitive EWMAs:
+/// the session's own (which drives that session's online recalibration)
+/// and the registry's drift gauges (the runtime-wide view scrapes read).
+///
+/// The two differ once several sessions share a registry: the gauges mix
+/// every session's samples, while each session's fit is only described by
+/// its own.  Three `f64`s, so observing never allocates.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftTracker {
     alpha: f64,
+    /// Per-primitive EWMA in `[Gemm, SpDmm, Spmm]` order; `NaN` until the
+    /// primitive's first observation.
+    ewma: [f64; 3],
+}
+
+/// The tracked primitive's slot in [`DriftTracker::ewma`] and its registry
+/// gauge; `None` for skipped products, which have no cost to drift.
+fn drift_slot(primitive: SpanPrimitive) -> Option<(usize, GaugeId)> {
+    match primitive {
+        SpanPrimitive::Gemm => Some((0, GaugeId::DriftGemm)),
+        SpanPrimitive::SpDmm => Some((1, GaugeId::DriftSpdmm)),
+        SpanPrimitive::Spmm => Some((2, GaugeId::DriftSpmm)),
+        SpanPrimitive::Skip => None,
+    }
 }
 
 impl DriftTracker {
@@ -192,7 +210,10 @@ impl DriftTracker {
 
     /// A tracker with smoothing factor `alpha`.
     pub fn new(alpha: f64) -> DriftTracker {
-        DriftTracker { alpha }
+        DriftTracker {
+            alpha,
+            ewma: [f64::NAN; 3],
+        }
     }
 
     /// The smoothing factor.
@@ -200,26 +221,49 @@ impl DriftTracker {
         self.alpha
     }
 
-    /// Folds one observation into the per-primitive drift gauge. Skipped
-    /// kernels, region-policy dispatches (`NaN` prediction) and degenerate
-    /// predictions contribute nothing.
+    /// Folds one observation into this tracker's EWMA and the registry's
+    /// drift gauge for `primitive`. Skipped kernels, region-policy
+    /// dispatches (`NaN` prediction) and degenerate predictions contribute
+    /// nothing.
     pub fn observe(
-        &self,
+        &mut self,
         registry: &Registry,
         primitive: SpanPrimitive,
         predicted_ms: f64,
         measured_ms: f64,
     ) {
-        let gauge = match primitive {
-            SpanPrimitive::Gemm => GaugeId::DriftGemm,
-            SpanPrimitive::SpDmm => GaugeId::DriftSpdmm,
-            SpanPrimitive::Spmm => GaugeId::DriftSpmm,
-            SpanPrimitive::Skip => return,
+        let Some((slot, gauge)) = drift_slot(primitive) else {
+            return;
         };
         if !predicted_ms.is_finite() || predicted_ms <= 0.0 || !measured_ms.is_finite() {
             return;
         }
-        registry.gauge_ewma(gauge, measured_ms / predicted_ms, self.alpha);
+        let sample = measured_ms / predicted_ms;
+        if !sample.is_finite() {
+            return;
+        }
+        let old = self.ewma[slot];
+        self.ewma[slot] = if old.is_nan() {
+            sample
+        } else {
+            old * (1.0 - self.alpha) + sample * self.alpha
+        };
+        registry.gauge_ewma(gauge, sample, self.alpha);
+    }
+
+    /// This tracker's measured/predicted EWMA for `primitive` (`NaN` before
+    /// its first observation and for [`SpanPrimitive::Skip`]).
+    pub fn ratio(&self, primitive: SpanPrimitive) -> f64 {
+        drift_slot(primitive).map_or(f64::NAN, |(slot, _)| self.ewma[slot])
+    }
+
+    /// Restarts `primitive`'s EWMA at the healthy `1.0`, as after a
+    /// recalibration that rescaled its fit by the observed ratio.  The
+    /// registry gauge is left alone: other sessions feed it too.
+    pub fn reset(&mut self, primitive: SpanPrimitive) {
+        if let Some((slot, _)) = drift_slot(primitive) {
+            self.ewma[slot] = 1.0;
+        }
     }
 }
 
@@ -277,12 +321,31 @@ mod tests {
     #[test]
     fn drift_skips_unpredictable_observations() {
         let registry = Registry::new(TelemetryLevel::Counters);
-        let drift = DriftTracker::default();
+        let mut drift = DriftTracker::default();
         drift.observe(&registry, SpanPrimitive::Skip, 1.0, 1.0);
         drift.observe(&registry, SpanPrimitive::Gemm, f64::NAN, 1.0);
         drift.observe(&registry, SpanPrimitive::Gemm, 0.0, 1.0);
         assert!(registry.gauge(GaugeId::DriftGemm).is_nan());
+        assert!(drift.ratio(SpanPrimitive::Gemm).is_nan());
         drift.observe(&registry, SpanPrimitive::Gemm, 2.0, 3.0);
         assert!((registry.gauge(GaugeId::DriftGemm) - 1.5).abs() < 1e-12);
+        assert!((drift.ratio(SpanPrimitive::Gemm) - 1.5).abs() < 1e-12);
+        assert!(drift.ratio(SpanPrimitive::Skip).is_nan());
+    }
+
+    #[test]
+    fn session_ewma_is_private_and_resets_alone() {
+        let registry = Registry::new(TelemetryLevel::Counters);
+        let (mut a, mut b) = (DriftTracker::new(0.5), DriftTracker::new(0.5));
+        a.observe(&registry, SpanPrimitive::Spmm, 1.0, 4.0);
+        b.observe(&registry, SpanPrimitive::Spmm, 1.0, 2.0);
+        // The gauge mixes both sessions; each tracker keeps its own.
+        assert!((registry.gauge(GaugeId::DriftSpmm) - 3.0).abs() < 1e-12);
+        assert!((a.ratio(SpanPrimitive::Spmm) - 4.0).abs() < 1e-12);
+        assert!((b.ratio(SpanPrimitive::Spmm) - 2.0).abs() < 1e-12);
+        a.reset(SpanPrimitive::Spmm);
+        assert_eq!(a.ratio(SpanPrimitive::Spmm), 1.0);
+        assert!((b.ratio(SpanPrimitive::Spmm) - 2.0).abs() < 1e-12);
+        assert!((registry.gauge(GaugeId::DriftSpmm) - 3.0).abs() < 1e-12);
     }
 }

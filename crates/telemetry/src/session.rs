@@ -104,9 +104,16 @@ impl SessionTelemetry {
         self.recorder.clear();
     }
 
-    /// The drift tracker folding measured-vs-predicted ratios.
+    /// The session's drift tracker: its own per-primitive
+    /// measured-vs-predicted EWMAs.
     pub fn drift(&self) -> &DriftTracker {
         &self.drift
+    }
+
+    /// Mutable access to the drift tracker (a recalibrating session resets
+    /// the EWMAs of the fits it rescaled).
+    pub fn drift_mut(&mut self) -> &mut DriftTracker {
+        &mut self.drift
     }
 
     /// Marks the start of a request; spans recorded until the next call are
@@ -211,8 +218,8 @@ impl SessionTelemetry {
         self.registry.incr(self.shard, CounterId::DispatchFallbacks);
     }
 
-    /// Records one online recalibration (a drift gauge left the accepted
-    /// band and the session rescaled its calibration fit).
+    /// Records one online recalibration (the session's drift EWMA left the
+    /// accepted band and the session rescaled its calibration fit).
     pub fn record_recalibration(&self) {
         self.registry.incr(self.shard, CounterId::Recalibrations);
     }

@@ -16,9 +16,9 @@
 //!    uncached pricing.
 //!
 //! Invalidation (rebind across topologies, content-addressed re-hits) and
-//! batch amortization ride on the same counters.  Drift-recalibration
-//! invalidation lives in `tests/pricing_invalidation.rs` (own binary — it
-//! pins `DYNASPARSE_CALIBRATION`).
+//! batch amortization ride on the same counters.  That drift recalibration
+//! invalidates nothing is proven in `tests/pricing_invalidation.rs` (own
+//! binary — it pins `DYNASPARSE_CALIBRATION`).
 
 use dynasparse::{
     EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner,
@@ -31,7 +31,7 @@ use dynasparse_telemetry::CounterId;
 use std::sync::Arc;
 
 /// Engine options with the given cache mode and online recalibration pinned
-/// off (a drift-triggered flush would make hit/miss counts timing-dependent).
+/// off (keeps host routing independent of timing).
 fn options(mode: PricingCacheMode) -> EngineOptions {
     EngineOptions::builder()
         .host(HostExecutionOptions {

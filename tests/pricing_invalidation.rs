@@ -1,10 +1,12 @@
-//! Drift-triggered invalidation of the pricing cache.
+//! Drift-triggered recalibration must not invalidate the pricing cache.
 //!
-//! An online recalibration rescales the host fit, which changes the
-//! calibration fingerprint baked into every pricing key — so all resident
-//! entries must stop matching (no hit may ever replay pricing derived under
-//! the superseded fit), and steady-state hits must resume once the repaired
-//! fit's keys repopulate.
+//! An online recalibration rescales the *host* fit, which steers host
+//! dispatch.  Pricing runs the Analyzer over the *modeled accelerator* and
+//! never reads that fit, so the pricing key carries no calibration: after a
+//! recalibration every resident entry keeps hitting, and every priced
+//! quantity in the reports stays exactly what it was.  (Topology
+//! invalidation through the statics fingerprint is covered in
+//! `tests/pricing_cache.rs`.)
 //!
 //! This lives in its **own test binary**, like `telemetry_drift.rs` and for
 //! the same reason: it manufactures a stale `DYNASPARSE_CALIBRATION` fit,
@@ -12,9 +14,11 @@
 //! binaries must not inherit it.
 
 use dynasparse::{
-    EngineOptions, HostExecutionOptions, MappingStrategy, Planner, Registry, TelemetryLevel,
+    EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, Planner,
+    PricingCacheMode, Registry, TelemetryLevel,
 };
-use dynasparse_graph::Dataset;
+use dynasparse_graph::generators::dense_features;
+use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_matrix::HostCalibration;
 use dynasparse_model::{GnnModel, GnnModelKind};
 use dynasparse_telemetry::CounterId;
@@ -49,66 +53,101 @@ fn fixture() -> (dynasparse_graph::GraphDataset, GnnModel) {
     (ds, model)
 }
 
-#[test]
-fn recalibration_flushes_the_cache_then_hits_resume() {
-    install_stale_calibration();
+/// A report's every field, rendered bit-exactly (`f64`'s `Debug` output
+/// round-trips), with two exceptions: `predicted_kernel_ms` is the host
+/// backend's prediction from the session's current fit, which recalibration
+/// is meant to change, and each run's `end_to_end_ms` adds its plan's
+/// measured compile time (its per-request terms, data movement and latency,
+/// stay in).
+fn priced_fields(report: &InferenceReport) -> String {
+    let mut report = report.clone();
+    report.predicted_kernel_ms = 0.0;
+    for run in &mut report.runs {
+        run.end_to_end_ms = 0.0;
+    }
+    format!("{report:?}")
+}
+
+/// Engine options with the given cache mode and recalibration switch.
+fn options(mode: PricingCacheMode, recalibrate: bool) -> EngineOptions {
+    EngineOptions::builder()
+        .host(HostExecutionOptions {
+            recalibrate,
+            pricing_cache: mode,
+            ..Default::default()
+        })
+        .build()
+}
+
+/// Serves `rounds` passes over `requests` through a fresh session of
+/// `options`; returns every report, the session's registry and its miss
+/// count after the first pass.
+fn serve(
+    options: EngineOptions,
+    requests: &[FeatureMatrix],
+    rounds: usize,
+) -> (Vec<InferenceReport>, Arc<Registry>, u64) {
     let (ds, model) = fixture();
-
-    // Default host options: recalibrate on, bucketed cache on.  Serving the
-    // same request repeatedly would hit from request 2 onward — unless a
-    // drift-triggered rescale swaps the fit and flushes the cache.
-    let plan = Planner::default().plan(&model, &ds).unwrap();
+    let plan = Planner::new(options).plan(&model, &ds).unwrap();
     let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
-    let mut session = plan.session(&[MappingStrategy::Dynamic]);
+    let mut session = plan.session(&MappingStrategy::paper_strategies());
     session.set_telemetry(Arc::clone(&registry));
-
-    let misses_after_first = {
-        session.infer(&ds.features).unwrap();
-        registry.counter(CounterId::PricingMiss)
-    };
-    assert!(misses_after_first > 0, "a cold cache must miss");
-
-    // Keep serving the identical request until the stale fit has been
-    // repaired at least once.  Exactly *when* the drift EWMA crosses the
-    // band depends on host timing, so loop rather than pin a request index.
-    let mut recalibrations = 0;
-    for _ in 0..12 {
-        session.infer(&ds.features).unwrap();
-        recalibrations = registry.counter(CounterId::Recalibrations);
-        if recalibrations > 0 {
-            break;
+    let mut reports = Vec::with_capacity(rounds * requests.len());
+    let mut first_pass_misses = 0;
+    for round in 0..rounds {
+        for request in requests {
+            reports.push(session.infer(request).unwrap());
+        }
+        if round == 0 {
+            first_pass_misses = registry.counter(CounterId::PricingMiss);
         }
     }
-    assert!(
-        recalibrations > 0,
-        "a 1e6x-stale fit must trigger online recalibration"
-    );
-    let misses_after_recal = registry.counter(CounterId::PricingMiss);
-    assert!(
-        misses_after_recal > misses_after_first,
-        "the repaired fit changes the calibration fingerprint, so the \
-         repeated request must re-miss ({misses_after_first} -> {misses_after_recal})"
-    );
+    (reports, registry, first_pass_misses)
+}
 
-    // Once the gauges settle inside the drift band, the repaired fit's keys
-    // are stable and the identical request must go back to pure hits.  Give
-    // stragglers (late recalibrations of other primitives) a few requests.
-    let mut saw_pure_hit_request = false;
-    for _ in 0..10 {
-        let hits = registry.counter(CounterId::PricingHit);
-        let misses = registry.counter(CounterId::PricingMiss);
-        session.infer(&ds.features).unwrap();
-        let dh = registry.counter(CounterId::PricingHit) - hits;
-        let dm = registry.counter(CounterId::PricingMiss) - misses;
-        if dm == 0 && dh > 0 {
-            saw_pure_hit_request = true;
-            break;
+#[test]
+fn recalibration_keeps_the_cache_and_its_reports() {
+    install_stale_calibration();
+    let (ds, _) = fixture();
+    let (v, f) = (ds.features.num_vertices(), ds.features.dim());
+    let requests = [
+        ds.features.clone(),
+        dense_features(v, f, 0.05, 1),
+        dense_features(v, f, 0.4, 2),
+    ];
+    const ROUNDS: usize = 6;
+
+    // Under the 1e6x-stale fit every recalibrating session repairs its fit
+    // after its first request.  The pricing key carries no calibration, so
+    // the repair must neither re-miss nor change any priced quantity.
+    for mode in [PricingCacheMode::Exact, PricingCacheMode::Bucketed] {
+        let (cached, registry, first_pass) = serve(options(mode, true), &requests, ROUNDS);
+        assert!(
+            registry.counter(CounterId::Recalibrations) > 0,
+            "{mode:?}: a 1e6x-stale fit must trigger online recalibration"
+        );
+        assert!(first_pass > 0, "{mode:?}: a cold cache must miss");
+        assert_eq!(
+            registry.counter(CounterId::PricingMiss),
+            first_pass,
+            "{mode:?}: repeated requests must never miss after their first pass"
+        );
+        assert!(registry.counter(CounterId::PricingHit) > 0, "{mode:?}");
+
+        // Exact-mode pricing is bit-identical to uncached pricing; bucketed
+        // pricing is whatever the same cache reports with the fit pinned.
+        let reference_options = match mode {
+            PricingCacheMode::Exact => options(PricingCacheMode::Off, true),
+            _ => options(mode, false),
+        };
+        let (reference, _, _) = serve(reference_options, &requests, ROUNDS);
+        for (i, (c, r)) in cached.iter().zip(&reference).enumerate() {
+            assert!(
+                priced_fields(c) == priced_fields(r),
+                "{mode:?} request {i}: report differs from the reference"
+            );
         }
     }
-    assert!(
-        saw_pure_hit_request,
-        "steady-state hits must resume after the fit is repaired"
-    );
 }
 
 #[test]
@@ -116,8 +155,8 @@ fn pinned_calibration_never_invalidates() {
     install_stale_calibration();
     let (ds, model) = fixture();
 
-    // Control: recalibration pinned off.  However stale the fit, the
-    // calibration fingerprint never changes, so every repeat is a pure hit.
+    // Control: recalibration pinned off.  However stale the fit, every
+    // repeat is a pure hit.
     let plan = Planner::new(
         EngineOptions::builder()
             .host(HostExecutionOptions {
@@ -140,7 +179,7 @@ fn pinned_calibration_never_invalidates() {
     assert_eq!(
         registry.counter(CounterId::PricingMiss),
         misses,
-        "with the fingerprint pinned, repeats must never re-miss"
+        "with the fit pinned, repeats must never re-miss"
     );
     assert_eq!(
         registry.counter(CounterId::PricingHit),

@@ -19,7 +19,7 @@ use dynasparse::{
 use dynasparse_graph::Dataset;
 use dynasparse_matrix::HostCalibration;
 use dynasparse_model::{GnnModel, GnnModelKind};
-use dynasparse_telemetry::GaugeId;
+use dynasparse_telemetry::{CounterId, GaugeId};
 use std::sync::Arc;
 
 /// Persists the 1e6x-inflated reference fit and points
@@ -151,4 +151,50 @@ fn recalibration_repairs_a_stale_fit() {
             );
         }
     }
+}
+
+#[test]
+fn each_session_recalibrates_from_its_own_drift() {
+    install_stale_calibration();
+
+    let ds = Dataset::Cora.spec().generate_scaled(11, 0.12);
+    let model = GnnModel::standard(
+        GnnModelKind::Gcn,
+        ds.features.dim(),
+        16,
+        ds.spec.num_classes,
+        3,
+    );
+    // Two sessions over one registry, as two serve workers share one.  Each
+    // starts from the same stale fit and must repair its own: a session
+    // decides from its own drift EWMA, never from the registry gauge its
+    // sibling also feeds (and a sibling's repair must not reset its drift).
+    let plan = Planner::default().plan(&model, &ds).unwrap();
+    let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
+    let mut sessions = [
+        plan.session(&[MappingStrategy::Dynamic]),
+        plan.session(&[MappingStrategy::Dynamic]),
+    ];
+    for session in &mut sessions {
+        session.set_telemetry(Arc::clone(&registry));
+    }
+    let mut predicted = [0.0f64; 2];
+    for _ in 0..12 {
+        for (session, ms) in sessions.iter_mut().zip(&mut predicted) {
+            *ms = session.infer(&ds.features).unwrap().predicted_kernel_ms;
+        }
+    }
+    let [a, b] = predicted;
+    assert!(
+        a > 0.0 && b > 0.0,
+        "both sessions must price their kernels, got {a} ms and {b} ms"
+    );
+    // The stale fit predicts ~1e6x the repaired one; 10x leaves room for
+    // host noise between two repaired fits.
+    assert!(
+        a / b < 10.0 && b / a < 10.0,
+        "both sessions must have repaired their fits: predicted {a} ms vs {b} ms \
+         after {} recalibrations",
+        registry.counter(CounterId::Recalibrations)
+    );
 }
