@@ -16,9 +16,13 @@
 //!   topologies never recompiles.
 //! - [`ServeRuntime`] spawns worker threads that each open a
 //!   [`Session`](dynasparse::Session) over the same `Arc<CompiledPlan>`
-//!   (no deep copy of weights or adjacencies — they are reference-counted),
-//!   drain a bounded MPSC queue, and coalesce bursts into micro-batches of
-//!   up to `max_batch` requests served by one `infer_batch` call.
+//!   (no deep copy of weights or adjacencies — they are reference-counted)
+//!   and drain a bounded MPMC queue.  Workers are work-conserving: a free
+//!   worker takes whatever is already queued, up to `max_batch` requests,
+//!   and serves it at once with one `infer_batch` call, so micro-batches
+//!   form from the backlog that builds up while every worker is busy.  A
+//!   non-zero [`ServeConfig::batch_deadline`] adds that much latency to a
+//!   request that arrives while a worker is idle.
 //! - Production traffic control keeps behavior bounded under overload and
 //!   faults: per-request deadlines and priority classes
 //!   ([`SubmitOptions`]), a load-shedding watermark with hysteresis

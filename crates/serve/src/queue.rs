@@ -6,8 +6,14 @@
 //! queue on `Mutex` + `Condvar`: producers block (or bounce, for
 //! `try_push`) when the queue is at capacity — the backpressure a bounded
 //! serving system needs — and each consumer drains up to `max_batch` items
-//! per wakeup, waiting out a coalescing deadline so short request bursts
-//! ride in one batch.
+//! per wakeup.
+//!
+//! Draining is **work-conserving** at a zero deadline: a consumer takes
+//! whatever is queued the moment it wakes and returns at once, so a batch
+//! holds more than one item only when a backlog built up while every
+//! consumer was busy.  A non-zero deadline opts into a straggler wait: the
+//! consumer holds its first item up to that long for more to arrive, which
+//! adds that much latency to an item that arrives while a consumer is idle.
 //!
 //! Two admission-control features sit on top of the plain FIFO:
 //!
@@ -202,9 +208,10 @@ impl<T> BoundedQueue<T> {
     ///
     /// Blocks until at least one item is available (or the queue is closed
     /// and drained — then returns `None`, the consumer's shutdown signal).
-    /// After the first item, keeps draining until `max_batch` items are
-    /// held or `deadline` has elapsed since the batch started forming;
-    /// a zero `deadline` takes whatever is immediately available.
+    /// A zero `deadline` then takes whatever is already queued and returns
+    /// without a timed wait; a non-zero one keeps draining until
+    /// `max_batch` items are held or `deadline` has elapsed since the batch
+    /// started forming.
     pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<Vec<T>> {
         self.pop_batch_where(max_batch, deadline, |_| false)
             .map(|drained| {
@@ -254,7 +261,7 @@ impl<T> BoundedQueue<T> {
                     None => break,
                 }
             }
-            if batch.len() >= max_batch || inner.closed {
+            if batch.len() >= max_batch || inner.closed || deadline.is_zero() {
                 break;
             }
             // Everything drained so far was dead: hand the corpses back now
@@ -323,6 +330,34 @@ mod tests {
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![0, 1]);
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![2, 3]);
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![4]);
+    }
+
+    #[test]
+    fn default_deadline_hands_over_a_lone_item_without_a_timed_wait() {
+        let deadline = crate::ServeConfig::default().batch_deadline;
+        let q = BoundedQueue::new(8);
+        // A straggler wait would hold every pop for the full deadline; the
+        // fastest of several pops shows whether any timed wait happened
+        // without letting one preempted pop decide the outcome.
+        let fastest = (0..16)
+            .map(|i| {
+                q.push(i).unwrap();
+                let started = Instant::now();
+                assert_eq!(q.pop_batch(8, deadline).unwrap(), vec![i]);
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_micros(100),
+            "a lone queued item waited {fastest:?} for batch-mates"
+        );
+        // A backlog still drains in one pop.
+        for i in 0..5 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(q.pop_batch(8, deadline).unwrap(), vec![0, 1, 2, 3, 4]);
+        assert!(q.is_empty());
     }
 
     #[test]

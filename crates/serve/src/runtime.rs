@@ -7,9 +7,13 @@
 //! calibration ([`CompiledPlan::calibration`]): the micro-calibration runs
 //! at most once per process (inside planning, never on the serving path)
 //! and every worker session dispatches through the same `Arc`'d fit.  Producers [`submit`](ServeRuntime::submit) feature
-//! matrices and get a [`Ticket`] to wait on; workers drain the queue in
-//! deadline-coalesced micro-batches of up to `max_batch` requests, serving
-//! each batch with a single [`Session::infer_batch`] call.
+//! matrices and get a [`Ticket`] to wait on.  Workers are
+//! work-conserving: a free worker takes whatever is already queued (up to
+//! `max_batch` requests) and starts at once, serving it with a single
+//! [`Session::infer_batch`] call.  Batches therefore form only from the
+//! backlog that builds up while every worker is busy, which is when fusing
+//! them pays; a lone request never waits for company.  A non-zero
+//! [`ServeConfig::batch_deadline`] opts into a straggler wait instead.
 //!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
@@ -68,6 +72,12 @@ pub struct ServeConfig {
     /// Maximum requests coalesced into one `infer_batch` call.
     pub max_batch: usize,
     /// How long a worker waits for stragglers once a batch starts forming.
+    ///
+    /// The default, [`Duration::ZERO`], is work-conserving: a free worker
+    /// serves whatever is already queued at once, so batches form only from
+    /// backlog.  A non-zero deadline adds up to that much latency to every
+    /// request that arrives while a worker is idle, in exchange for a chance
+    /// to fuse it with requests arriving within the window.
     pub batch_deadline: Duration,
     /// Bounded request-queue capacity (backpressure threshold).
     pub queue_capacity: usize,
@@ -126,7 +136,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
+            batch_deadline: Duration::ZERO,
             queue_capacity: 64,
             strategies: vec![MappingStrategy::Dynamic],
             device_dwell: DeviceDwell::None,
@@ -151,7 +161,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the micro-batch coalescing deadline.
+    /// Sets the straggler wait (see [`ServeConfig::batch_deadline`]):
+    /// zero, the default, serves the queued backlog at once; a non-zero
+    /// deadline holds a lone request up to that long for batch-mates.
     pub fn batch_deadline(mut self, deadline: Duration) -> Self {
         self.batch_deadline = deadline;
         self
@@ -912,9 +924,6 @@ fn spend_respawn(
     true
 }
 
-/// Retires a worker whose circuit breaker opened.  The last live worker to
-/// retire closes the queue and fails every residual ticket — with nobody
-/// left to drain, leaving them queued would hang their callers forever.
 /// Modeled device-lane occupancy for one served batch.
 ///
 /// Each successful request occupies the lane for its feature transfer plus
@@ -952,6 +961,9 @@ fn modeled_dwell(results: &[Result<InferenceReport, ServeError>], dwell: DeviceD
     }
 }
 
+/// Retires a worker whose circuit breaker opened.  The last live worker to
+/// retire closes the queue and fails every residual ticket — with nobody
+/// left to drain, leaving them queued would hang their callers forever.
 fn retire_worker(queue: &BoundedQueue<QueuedRequest>, supervisor: &Supervisor) {
     if supervisor.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
         queue.close();
@@ -965,6 +977,43 @@ fn retire_worker(queue: &BoundedQueue<QueuedRequest>, supervisor: &Supervisor) {
             }
         }
     }
+}
+
+/// Records one request's queue wait (enqueue → `started`), host service
+/// time and turnaround (enqueue → now, just before its reply is sent).
+///
+/// Service records host time only; the modeled device dwell shows up in the
+/// turnaround, as it would in a real deployment where the reply follows
+/// device completion.  Panicked and abandoned tickets never executed to
+/// completion, so they stay out of the served-request count and latency
+/// summaries — they are tallied by the supervision counters.
+fn record_served(
+    index: usize,
+    metrics: &MetricsCollector,
+    telemetry: &Registry,
+    result: &Result<InferenceReport, ServeError>,
+    enqueued: Instant,
+    started: Instant,
+    service: Duration,
+) {
+    if matches!(
+        result,
+        Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
+    ) {
+        return;
+    }
+    let queue_wait = started.duration_since(enqueued);
+    metrics.record_request(index, queue_wait, service, enqueued.elapsed());
+    telemetry.observe(
+        index,
+        HistogramId::QueueWaitMicros,
+        queue_wait.as_micros() as u64,
+    );
+    telemetry.observe(
+        index,
+        HistogramId::ServiceMicros,
+        service.as_micros() as u64,
+    );
 }
 
 /// Entries the pool-wide [`SharedPricingTier`] retains before FIFO aging;
@@ -1153,29 +1202,15 @@ fn worker_loop(
         }
 
         for ((_, enqueued, reply, _), result) in envelopes.into_iter().zip(results) {
-            // Service records host time only; the modeled device dwell shows
-            // up in the turnaround (enqueue → reply ready), as it would in a
-            // real deployment where the reply follows device completion.
-            // Panicked and abandoned tickets never executed to completion,
-            // so they stay out of the served-request count and latency
-            // summaries — they are tallied by the supervision counters.
-            if !matches!(
-                result,
-                Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
-            ) {
-                let queue_wait = picked.duration_since(enqueued);
-                metrics.record_request(index, queue_wait, per_request, enqueued.elapsed());
-                telemetry.observe(
-                    index,
-                    HistogramId::QueueWaitMicros,
-                    queue_wait.as_micros() as u64,
-                );
-                telemetry.observe(
-                    index,
-                    HistogramId::ServiceMicros,
-                    per_request.as_micros() as u64,
-                );
-            }
+            record_served(
+                index,
+                &metrics,
+                &telemetry,
+                &result,
+                enqueued,
+                picked,
+                per_request,
+            );
             // A dropped ticket (caller gave up) is fine; ignore send errors.
             let _ = reply.send(Reply { result });
         }
@@ -1195,6 +1230,11 @@ fn worker_loop(
 /// pointer, so the rebind keeps the dispatcher, the kernel arena and the
 /// per-kernel profile scratch, merely re-shaping buffers across varying
 /// subgraph sizes (capacity only ever grows to the high-water mark).
+///
+/// A drained batch is a backlog, not a fused call: each reply leaves as soon
+/// as its own request and modeled dwell are done.  A request's queue wait
+/// therefore runs until the worker starts *it*, so time spent behind its
+/// batch-mates counts as queueing, and its service time is its own.
 #[allow(clippy::too_many_arguments)]
 fn template_worker_loop(
     index: usize,
@@ -1219,7 +1259,6 @@ fn template_worker_loop(
         if batch.is_empty() {
             continue;
         }
-        let picked = Instant::now();
         let batch_size = batch.len();
         metrics.record_batch(batch_size);
         telemetry.gauge_set(GaugeId::QueueDepth, queue.len() as f64);
@@ -1227,11 +1266,12 @@ fn template_worker_loop(
         telemetry.add(index, CounterId::ServeRequests, batch_size as u64);
         telemetry.observe(index, HistogramId::BatchSize, batch_size as u64);
 
-        let mut envelopes = Vec::with_capacity(batch_size);
-        let mut results = Vec::with_capacity(batch_size);
+        // Nothing is fused here, so nothing waits for a batch-mate: each
+        // request is served, occupies the device lane for its own modeled
+        // dwell and is replied to before the next one starts.  The lane's
+        // total occupancy is the batch's summed dwell, as before.
         for request in batch {
             let fault = request.fault.map(|k| (request.id, k));
-            envelopes.push((request.id, request.enqueued, request.reply));
             let (graph, features) = match request.payload {
                 Payload::Subgraph { graph, features } => (graph, features),
                 // Submission routes feature-only payloads only into
@@ -1241,11 +1281,14 @@ fn template_worker_loop(
                 }
             };
             if breaker_open {
-                results.push(Err(ServeError::Abandoned {
-                    reason: RESPAWN_EXHAUSTED,
-                }));
+                let _ = request.reply.send(Reply {
+                    result: Err(ServeError::Abandoned {
+                        reason: RESPAWN_EXHAUSTED,
+                    }),
+                });
                 continue;
             }
+            let started = Instant::now();
             // Requests are served individually here (each brings its own
             // topology), so the supervisor's catch already isolates a
             // poisoned request: only its ticket fails.
@@ -1276,7 +1319,7 @@ fn template_worker_loop(
                         result
                     })
             }));
-            let result = match served {
+            let mut result = match served {
                 Ok(result) => result.map_err(ServeError::Inference),
                 Err(payload) => {
                     let message = panic_message(payload.as_ref());
@@ -1291,43 +1334,27 @@ fn template_worker_loop(
                     Err(ServeError::WorkerPanicked { message })
                 }
             };
-            results.push(result);
-        }
-        let batch_elapsed = picked.elapsed();
-        let per_request = batch_elapsed / batch_size as u32;
-
-        // Stamp global submission ids (session-local indices restart per
-        // rebind epoch and are meaningless across a pool).
-        for (result, &(id, _, _)) in results.iter_mut().zip(envelopes.iter()) {
-            if let Ok(report) = result {
-                report.request_index = id as usize;
+            let service = started.elapsed();
+            // Stamp the global submission id (session-local indices restart
+            // per rebind epoch and are meaningless across a pool).
+            if let Ok(report) = &mut result {
+                report.request_index = request.id as usize;
             }
-        }
 
-        let dwell = modeled_dwell(&results, config.device_dwell);
-        if dwell > Duration::ZERO {
-            thread::sleep(dwell);
-        }
-
-        for ((_, enqueued, reply), result) in envelopes.into_iter().zip(results) {
-            if !matches!(
-                result,
-                Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
-            ) {
-                let queue_wait = picked.duration_since(enqueued);
-                metrics.record_request(index, queue_wait, per_request, enqueued.elapsed());
-                telemetry.observe(
-                    index,
-                    HistogramId::QueueWaitMicros,
-                    queue_wait.as_micros() as u64,
-                );
-                telemetry.observe(
-                    index,
-                    HistogramId::ServiceMicros,
-                    per_request.as_micros() as u64,
-                );
+            let dwell = modeled_dwell(std::slice::from_ref(&result), config.device_dwell);
+            if dwell > Duration::ZERO {
+                thread::sleep(dwell);
             }
-            let _ = reply.send(Reply { result });
+            record_served(
+                index,
+                &metrics,
+                &telemetry,
+                &result,
+                request.enqueued,
+                started,
+                service,
+            );
+            let _ = request.reply.send(Reply { result });
         }
 
         if breaker_open {
@@ -1490,6 +1517,95 @@ mod tests {
         }
         let report = runtime.shutdown();
         assert_eq!(report.requests, 5);
+    }
+
+    #[test]
+    fn template_replies_leave_per_request_not_per_batch() {
+        use dynasparse_graph::NeighborSampler;
+        let (template, ds) = template_fixture();
+        let strategies = [MappingStrategy::Dynamic];
+        // Four copies of one subgraph, so every request dwells alike.
+        let sub = NeighborSampler::new([5, 3], 31).sample(&ds.graph, &[7]);
+        let features = sub.extract_features(&ds.features);
+        let requests = vec![(sub.into_graph(), features); 4];
+        // Serial reference: a fresh session on the instantiated subgraph.
+        let (graph, features) = &requests[0];
+        let plan = template.instantiate(graph, features).unwrap().into_plan();
+        let want = plan.session(&strategies).infer(features).unwrap();
+        let dwell_at = |scale: f64, report: &InferenceReport| {
+            let dwell = DeviceDwell::Modeled {
+                strategy: MappingStrategy::Dynamic,
+                scale,
+            };
+            modeled_dwell(&[Ok(report.clone())], dwell)
+        };
+        // Scale the modeled dwell so each request occupies the lane for
+        // about 50 ms: ample time to queue a backlog behind the first.
+        let unit = dwell_at(1.0, &want);
+        assert!(unit > Duration::ZERO, "fixture must have a modeled dwell");
+        let scale = 0.05 / unit.as_secs_f64();
+
+        let runtime = ServeRuntime::start_template(
+            Arc::clone(&template),
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(4)
+                .batch_deadline(Duration::ZERO)
+                .device_dwell(DeviceDwell::Modeled {
+                    strategy: MappingStrategy::Dynamic,
+                    scale,
+                }),
+        );
+        // The first request parks the worker on its dwell; the other three
+        // queue behind it and, with no straggler wait, drain as one batch.
+        let (graph, features) = requests[0].clone();
+        let parked = runtime.submit_subgraph(graph, features).unwrap();
+        while runtime.queue_depth() > 0 {
+            thread::yield_now();
+        }
+        let backlog: Vec<Ticket> = requests[1..]
+            .iter()
+            .cloned()
+            .map(|(graph, features)| runtime.submit_subgraph(graph, features).unwrap())
+            .collect();
+        let mut got = vec![parked.wait().unwrap()];
+        let mut resolved = Vec::new();
+        for ticket in backlog {
+            got.push(ticket.wait().unwrap());
+            resolved.push(Instant::now());
+        }
+        let report = runtime.shutdown();
+        assert!(
+            report.batch_histogram.iter().any(|bar| bar.size == 3),
+            "the three queued requests must drain as one batch: {:?}",
+            report.batch_histogram
+        );
+
+        // Each reply leaves after its own dwell, not after the batch's.
+        let spread = resolved[2] - resolved[0];
+        let last_dwell = dwell_at(scale, &got[3]);
+        assert!(
+            spread >= last_dwell / 2,
+            "first and last backlog replies {spread:?} apart; one dwell is {last_dwell:?}"
+        );
+        for (i, got) in got.iter().enumerate() {
+            assert_eq!(got.request_index, i);
+            assert_eq!(got.output_embeddings, want.output_embeddings, "request {i}");
+            assert_eq!(got.density_trace, want.density_trace, "request {i}");
+            assert_eq!(
+                got.feature_movement_ms.to_bits(),
+                want.feature_movement_ms.to_bits(),
+                "request {i}"
+            );
+            for (g, w) in got.runs.iter().zip(&want.runs) {
+                assert_eq!(g.total_cycles, w.total_cycles, "request {i}");
+                assert_eq!(
+                    g.latency_ms.to_bits(),
+                    w.latency_ms.to_bits(),
+                    "request {i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1662,6 +1778,10 @@ mod tests {
                     scale: 20.0,
                 }),
         );
+        // A healthy request parks the worker on its dwell, so the poisoned
+        // request and the residuals are all queued before the panic retires
+        // the worker (a retired pool refuses further submissions).
+        let parked = runtime.submit(features.clone()).unwrap();
         let poisoned = runtime
             .submit_with(
                 features.clone(),
@@ -1673,6 +1793,7 @@ mod tests {
             .collect();
         // The poisoned ticket names its own panic; only the never-executed
         // residuals are abandoned.
+        assert!(parked.wait().is_ok());
         assert!(matches!(
             poisoned.wait(),
             Err(ServeError::WorkerPanicked { .. })

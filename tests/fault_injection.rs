@@ -223,6 +223,10 @@ fn exhausted_respawn_budget_drains_residual_tickets() {
                 scale: 10.0,
             }),
     );
+    // A healthy request parks the worker on its dwell, so both poisons and
+    // the residuals are queued before the breaker retires the worker (a
+    // retired pool refuses further submissions).
+    let parked = runtime.submit(features.clone()).unwrap();
     // First poison: caught, respawned (budget now 0).  Second poison: caught,
     // breaker opens.  Residuals: drained as Abandoned.
     let p1 = runtime
@@ -241,6 +245,7 @@ fn exhausted_respawn_budget_drains_residual_tickets() {
         .map(|_| runtime.submit(features.clone()).unwrap())
         .collect();
 
+    assert!(parked.wait().is_ok());
     assert!(matches!(p1.wait(), Err(ServeError::WorkerPanicked { .. })));
     assert!(matches!(p2.wait(), Err(ServeError::WorkerPanicked { .. })));
     for t in residuals {

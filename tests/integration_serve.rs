@@ -189,34 +189,42 @@ fn micro_batching_coalesces_without_changing_results() {
     let want = serial_reports(&plan, &[MappingStrategy::Dynamic], &stream);
 
     // One worker parked on a long first dwell lets the remaining requests
-    // pile up, forcing at least one multi-request batch.
-    let runtime = ServeRuntime::start(
-        Arc::clone(&plan),
-        ServeConfig::default()
-            .workers(1)
-            .max_batch(4)
-            .batch_deadline(Duration::from_millis(20))
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 10.0,
-            }),
-    );
-    let results = runtime.serve_all(stream.iter().cloned());
-    let report = runtime.shutdown();
-    for (i, result) in results.into_iter().enumerate() {
-        assert_reports_identical(&want[i], &result.unwrap(), &format!("request {i}"));
+    // pile up, forcing at least one multi-request batch — both under the
+    // work-conserving default and under an opt-in straggler wait.
+    let default_deadline = ServeConfig::default().batch_deadline;
+    for deadline in [default_deadline, Duration::from_millis(20)] {
+        let runtime = ServeRuntime::start(
+            Arc::clone(&plan),
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(4)
+                .batch_deadline(deadline)
+                .device_dwell(DeviceDwell::Modeled {
+                    strategy: MappingStrategy::Dynamic,
+                    scale: 10.0,
+                }),
+        );
+        let results = runtime.serve_all(stream.iter().cloned());
+        let report = runtime.shutdown();
+        for (i, result) in results.into_iter().enumerate() {
+            assert_reports_identical(
+                &want[i],
+                &result.unwrap(),
+                &format!("deadline {deadline:?} request {i}"),
+            );
+        }
+        assert!(
+            report.batches < report.requests,
+            "deadline {deadline:?}: with a single parked worker some batches \
+             must coalesce ({} batches for {} requests)",
+            report.batches,
+            report.requests,
+        );
+        assert!(
+            report.batch_histogram.iter().any(|bar| bar.size > 1),
+            "deadline {deadline:?}: batch histogram must show a coalesced batch"
+        );
     }
-    assert!(
-        report.batches < report.requests,
-        "with a single parked worker some batches must coalesce \
-         ({} batches for {} requests)",
-        report.batches,
-        report.requests,
-    );
-    assert!(
-        report.batch_histogram.iter().any(|bar| bar.size > 1),
-        "batch histogram must show a coalesced batch"
-    );
 }
 
 #[test]
